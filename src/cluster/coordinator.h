@@ -76,6 +76,9 @@ struct NodeReport {
 
 enum class CoordinatorKind { kStaticEqual, kDemandProportional, kSlackHarvest };
 
+/// Relative rounding slack every `sum(caps) <= budget` check allows.
+inline constexpr double kBudgetTolerance = 1e-9;
+
 const char* to_string(CoordinatorKind kind);
 
 struct CoordinatorConfig {

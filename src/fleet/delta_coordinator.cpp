@@ -20,7 +20,7 @@ void DeltaCoordinator::rebase(const std::vector<double>& caps) {
   caps_ = caps;
   cap_sum_ = 0.0;
   for (double c : caps_) cap_sum_ += c;
-  STURGEON_CHECK(cap_sum_ <= budget_w_ * (1.0 + 1e-9),
+  STURGEON_CHECK(cap_sum_ <= budget_w_ * (1.0 + cluster::kBudgetTolerance),
                  "DeltaCoordinator::rebase: caps exceed budget ("
                      << cap_sum_ << " > " << budget_w_ << ")");
 }
