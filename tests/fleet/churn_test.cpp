@@ -181,9 +181,10 @@ TEST(FleetChurn, LockstepChurnIsDeterministicAndConsistent) {
             b.cluster.fleet_qos_guarantee_rate);
   EXPECT_EQ(a.cluster.aggregate_be_throughput,
             b.cluster.aggregate_be_throughput);
-  // Lockstep path: no events, no skipping.
+  // Quiescence off: no skipping, and every epoch runs the full split.
   EXPECT_EQ(a.total_skipped_epochs, 0u);
-  EXPECT_EQ(a.events_processed, 0u);
+  EXPECT_EQ(a.rebalances, 40u);
+  EXPECT_EQ(a.events_processed, b.events_processed);
 }
 
 }  // namespace
