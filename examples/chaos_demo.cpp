@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "cluster/export.h"
+#include "fleet/fleet.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -49,8 +49,10 @@ std::vector<cluster::NodeSpec> build_fleet(int nodes, int duration) {
   return specs;
 }
 
-cluster::ClusterConfig base_config() {
-  cluster::ClusterConfig config;
+/// Quiescence and churn stay off: every node steps every epoch.
+fleet::FleetConfig base_config() {
+  fleet::FleetConfig fleet_config;
+  cluster::ClusterConfig& config = fleet_config.cluster;
   config.seed = 7;
   config.coordinator = cluster::CoordinatorKind::kSlackHarvest;
   // All defenses armed in both runs, so the comparison isolates the
@@ -58,7 +60,7 @@ cluster::ClusterConfig base_config() {
   config.resilience.sanitize_sensors = true;
   config.resilience.watchdog.enabled = true;
   config.resilience.heartbeat.dead_after_epochs = 3;
-  return config;
+  return fleet_config;
 }
 
 /// The standard chaos schedule, scaled to the run length.
@@ -88,13 +90,13 @@ int main(int argc, char** argv) {
 
   std::cout << "Chaos demo: " << nodes << " nodes, " << duration
             << " epochs; training models...\n";
-  cluster::ClusterSim clean_sim(build_fleet(nodes, duration), base_config());
-  const cluster::ClusterResult clean = clean_sim.run();
+  fleet::FleetSim clean_sim(build_fleet(nodes, duration), base_config());
+  const cluster::ClusterResult clean = clean_sim.run().cluster;
 
-  cluster::ClusterConfig faulted_config = base_config();
-  faulted_config.faults = standard_chaos(duration, /*victim=*/1);
-  cluster::ClusterSim chaos_sim(build_fleet(nodes, duration), faulted_config);
-  const cluster::ClusterResult chaos = chaos_sim.run();
+  fleet::FleetConfig faulted_config = base_config();
+  faulted_config.cluster.faults = standard_chaos(duration, /*victim=*/1);
+  fleet::FleetSim chaos_sim(build_fleet(nodes, duration), faulted_config);
+  const cluster::ClusterResult chaos = chaos_sim.run().cluster;
 
   TablePrinter table({"run", "fleet QoS", "agg BE thr", "max cap-sum ratio",
                       "dead epochs", "recoveries", "MTTR p95"});

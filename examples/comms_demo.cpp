@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "cluster/export.h"
+#include "fleet/fleet.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -51,8 +51,10 @@ std::vector<cluster::NodeSpec> build_fleet(int nodes, int duration) {
   return specs;
 }
 
-cluster::ClusterConfig comms_config(int duration, bool chaos) {
-  cluster::ClusterConfig config;
+/// Quiescence and churn stay off: every node steps every epoch.
+fleet::FleetConfig comms_config(int duration, bool chaos) {
+  fleet::FleetConfig fleet_config;
+  cluster::ClusterConfig& config = fleet_config.cluster;
   config.seed = 7;
   config.coordinator = cluster::CoordinatorKind::kSlackHarvest;
   config.resilience.heartbeat.dead_after_epochs = 3;
@@ -68,7 +70,7 @@ cluster::ClusterConfig comms_config(int duration, bool chaos) {
     config.comms.network.partition_start_epoch = duration / 2;
     config.comms.network.partition_epochs = duration / 6;
   }
-  return config;
+  return fleet_config;
 }
 
 }  // namespace
@@ -84,13 +86,13 @@ int main(int argc, char** argv) {
 
   std::cout << "Chaos-net demo: " << nodes << " nodes, " << duration
             << " epochs over the message channel; training models...\n";
-  cluster::ClusterSim clean_sim(build_fleet(nodes, duration),
-                                comms_config(duration, /*chaos=*/false));
-  const cluster::ClusterResult clean = clean_sim.run();
+  fleet::FleetSim clean_sim(build_fleet(nodes, duration),
+                            comms_config(duration, /*chaos=*/false));
+  const cluster::ClusterResult clean = clean_sim.run().cluster;
 
-  cluster::ClusterSim chaos_sim(build_fleet(nodes, duration),
-                                comms_config(duration, /*chaos=*/true));
-  const cluster::ClusterResult chaos = chaos_sim.run();
+  fleet::FleetSim chaos_sim(build_fleet(nodes, duration),
+                            comms_config(duration, /*chaos=*/true));
+  const cluster::ClusterResult chaos = chaos_sim.run().cluster;
 
   TablePrinter table({"network", "fleet QoS", "agg BE thr",
                       "max cap-sum ratio", "dead epochs", "msgs dropped",

@@ -1,21 +1,15 @@
-// ClusterSim: N co-location nodes advanced in lockstep 1 s epochs under
-// one cluster-level power budget.
-//
-// Layering per epoch:
-//
-//   PowerCoordinator   splits the cluster budget into per-node caps from
-//                      the fleet's last-epoch reports (sequential, node
-//                      order -- see coordinator.h);
-//   ClusterNode.step   every node runs its own policy + governor under
-//                      its cap; steps are independent, so the fleet
-//                      advances in parallel on the shared ThreadPool;
-//   aggregation        cluster power / QoS / throughput roll-ups, again
-//                      sequential in node order.
+// Configuration and outcome of one cluster run: N co-location nodes
+// advanced in 1 s epochs under one cluster-level power budget. The
+// engine that runs it is fleet::FleetSim (fleet/fleet.h); every epoch
+// the PowerCoordinator splits the budget into per-node caps from the
+// fleet's reports, each ClusterNode steps under its cap (in parallel on
+// a ThreadPool), and the roll-up aggregates power, QoS and throughput
+// sequentially in node order.
 //
 // Determinism: node i's RNG streams derive from derive_seed(cluster
-// seed, i); nothing mutable is shared between nodes inside step(); the
-// coordinator and the aggregation are sequential. A cluster run is
-// therefore bit-identical across thread counts -- tested.
+// seed, i); nothing mutable is shared between nodes inside a step; the
+// coordinator and the aggregation are sequential. A run is therefore
+// bit-identical across thread counts -- tested.
 //
 // Telemetry: each node gets a child TelemetryContext; the cluster
 // context carries "cluster.*" instruments (per-epoch fleet power
@@ -31,8 +25,7 @@
 #include "cluster/coordinator.h"
 #include "cluster/node.h"
 #include "cluster/placement.h"
-#include "comms/fabric.h"
-#include "util/thread_pool.h"
+#include "comms/message.h"
 
 namespace sturgeon::cluster {
 
@@ -53,7 +46,7 @@ struct ClusterConfig {
   /// How workloads (LS/BE pair + trace + policy) map onto machines.
   PlacementKind placement = PlacementKind::kRoundRobin;
   GovernorConfig governor;
-  /// Lockstep worker threads; 0 = hardware concurrency.
+  /// Worker threads stepping the nodes; 0 = hardware concurrency.
   std::size_t threads = 0;
   /// Span tracing on the per-node child contexts (cluster-context tracing
   /// follows `telemetry`'s own config).
@@ -123,39 +116,6 @@ struct ClusterResult {
   std::vector<NodeResult> node_results;
   /// Cluster-level telemetry (cluster.* + fleet.* roll-up), always set.
   std::shared_ptr<telemetry::TelemetryContext> telemetry;
-};
-
-class ClusterSim {
- public:
-  /// One spec per node. The placement strategy decides which spec's
-  /// *workload* (LS/BE pair, trace, policy) lands on which spec's
-  /// *machine*; node i always keeps spec i's ServerConfig. Sturgeon
-  /// nodes resolve their predictors through exp::predictor_for, warmed
-  /// in parallel here so the first epoch pays no training.
-  explicit ClusterSim(std::vector<NodeSpec> specs, ClusterConfig config = {});
-
-  /// Advance `epochs` lockstep epochs (0 = longest node trace) and
-  /// aggregate. One-shot: a ClusterSim instance runs once; build a new
-  /// one (same seed) to replay.
-  ClusterResult run(int epochs = 0);
-
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  double cluster_budget_w() const { return budget_w_; }
-  /// True once run() has been called (the instance is spent).
-  bool has_run() const { return ran_; }
-  ClusterNode& node(std::size_t i) { return *nodes_.at(i); }
-  PowerCoordinator& coordinator() { return *coordinator_; }
-
- private:
-  ClusterConfig config_;
-  std::shared_ptr<telemetry::TelemetryContext> telemetry_;
-  std::vector<std::unique_ptr<ClusterNode>> nodes_;
-  std::unique_ptr<PowerCoordinator> coordinator_;
-  HeartbeatTracker heartbeat_;
-  ThreadPool pool_;
-  double budget_w_ = 0.0;
-  int max_trace_s_ = 0;
-  bool ran_ = false;
 };
 
 }  // namespace sturgeon::cluster

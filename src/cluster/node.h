@@ -1,12 +1,13 @@
 // One node of the co-location fleet: the per-node runtime that
 // exp::run_colocation drives for a single machine, re-packaged as a
-// steppable object so a ClusterSim can advance N of them in lockstep.
+// steppable object so the fleet engine (fleet/fleet.h) can advance N of
+// them epoch by epoch.
 // Each node owns its SimulatedServer, isolation stack (SimBackend +
 // ResourceEnforcer), policy, telemetry context, and metrics accumulator;
 // nothing is shared between nodes except immutable trained models, which
-// is what makes the lockstep step() calls safe to run in parallel.
+// is what makes concurrent step() calls safe to run in parallel.
 //
-// Power capping: the ClusterSim hands the node a cap each epoch
+// Power capping: the fleet engine hands the node a cap each epoch
 // (set_power_cap). The cap reaches the policy (Sturgeon retargets its
 // search budget) AND a node-local reactive governor -- the RAPL
 // analogue -- which steps frequencies down (BE slice first, LS last)
@@ -143,14 +144,14 @@ struct NodeResult {
   /// Last epoch spent on the autonomous cap (-1 = never); chaos tests
   /// measure reconvergence-after-heal with it.
   int last_autonomy_epoch = -1;
-  /// The node's telemetry (child context; rolled up by the ClusterSim).
+  /// The node's telemetry (child context; rolled up by the fleet engine).
   std::shared_ptr<telemetry::TelemetryContext> telemetry;
 };
 
 class ClusterNode {
  public:
   /// `seed` is the node's derived seed (derive_seed(cluster_seed, id)).
-  /// `telemetry` must be non-null (the ClusterSim makes one child
+  /// `telemetry` must be non-null (build_cluster makes one child
   /// context per node). `faults` should already be victim-filtered
   /// (FaultConfig::for_node); with faults.enabled == false no injector
   /// is constructed and the fault hooks cost one null check each.
@@ -201,7 +202,7 @@ class ClusterNode {
   /// fault-corrupted report().power_w the coordinator sees.
   double true_power_w() const { return true_power_w_; }
   /// Last epoch whose control loop completed (-1 before the first):
-  /// the heartbeat the ClusterSim feeds the HeartbeatTracker. Crashed
+  /// the heartbeat the fleet engine feeds the HeartbeatTracker. Crashed
   /// and hung epochs do not beat.
   int last_step_epoch() const { return last_step_epoch_; }
   bool in_safe_mode() const { return watchdog_.in_safe_mode(); }

@@ -57,10 +57,10 @@ void fill_comms_results(const comms::CommsFabric& fabric,
 ClusterBuild build_cluster(std::vector<NodeSpec> specs,
                            const ClusterConfig& config, ThreadPool& pool) {
   if (specs.empty()) {
-    throw std::invalid_argument("ClusterSim: empty fleet");
+    throw std::invalid_argument("build_cluster: empty fleet");
   }
   if (!(config.oversubscription > 0.0 && config.oversubscription <= 1.0)) {
-    throw std::invalid_argument("ClusterSim: oversubscription must be (0,1]");
+    throw std::invalid_argument("build_cluster: oversubscription must be (0,1]");
   }
   const std::size_t n = specs.size();
 
@@ -119,7 +119,7 @@ ClusterBuild build_cluster(std::vector<NodeSpec> specs,
   double idle_sum = 0.0;
   for (const auto& node : build.nodes) idle_sum += node->idle_w();
   STURGEON_CHECK(build.budget_w > idle_sum,
-                 "ClusterSim: cluster budget " << build.budget_w
+                 "build_cluster: cluster budget " << build.budget_w
                      << " W below fleet idle power " << idle_sum << " W");
 
   auto& registry = build.telemetry->metrics();
@@ -156,7 +156,7 @@ void ClusterRollup::note_dead(int dead_nodes) {
 
 void ClusterRollup::note_cap_sum(double cap_sum_w, int t) {
   STURGEON_CHECK(cap_sum_w <= budget_w_ * (1.0 + 1e-9) + 1e-6,
-                 "ClusterSim: coordinator oversubscribed the budget ("
+                 "ClusterRollup: coordinator oversubscribed the budget ("
                      << cap_sum_w << " W > " << budget_w_ << " W at t=" << t
                      << ")");
   max_cap_sum_ratio_ = std::max(max_cap_sum_ratio_, cap_sum_w / budget_w_);

@@ -1,16 +1,9 @@
-// Shared fleet construction and aggregation, used by both stepping
-// engines: the lockstep ClusterSim (cluster/cluster.h) and the
-// event-driven FleetSim (fleet/fleet.h).
-//
-// The twin-equivalence contract (tests/fleet/twin_test.cpp) says the
-// event-driven path with quiescence skipping disabled and zero churn
-// must produce a ClusterResult bit-identical to the lockstep path. The
-// only way to keep that promise cheap is to share the arithmetic: node
-// construction (placement, seeding, model warming, budget resolution)
-// lives in build_cluster(), and every per-epoch instrument plus the
-// end-of-run ClusterResult assembly lives in ClusterRollup. Both
-// engines call the same code in the same order; only the decision of
-// WHICH nodes step each epoch differs.
+// Fleet construction and aggregation for the engine loop
+// (fleet/fleet.h): build_cluster() places, seeds and warms the fleet
+// and resolves the cluster budget; ClusterRollup carries every
+// per-epoch cluster instrument and assembles the end-of-run
+// ClusterResult. Both run sequentially in node order, so results stay
+// bit-identical across worker thread counts.
 #pragma once
 
 #include <memory>
@@ -19,17 +12,17 @@
 
 #include "cluster/cluster.h"
 #include "comms/fabric.h"
+#include "util/thread_pool.h"
 
 namespace sturgeon::cluster {
 
 /// Copy a run's comms accounting (channel totals, the grant identity,
-/// per-node lease counters) out of the fabric into the result; both
-/// stepping engines call it right after finalize.
+/// per-node lease counters) out of the fabric into the result; called
+/// right after finalize.
 void fill_comms_results(const comms::CommsFabric& fabric,
                         ClusterResult& result);
 
-/// Everything ClusterSim's constructor used to assemble inline: the
-/// placed, seeded fleet (models pre-warmed), the cluster telemetry
+/// The placed, seeded fleet (models pre-warmed), the cluster telemetry
 /// context and the resolved cluster power budget.
 struct ClusterBuild {
   std::shared_ptr<telemetry::TelemetryContext> telemetry;
@@ -61,13 +54,9 @@ class ClusterRollup {
   void note_power(double fleet_power_w);
   void note_slices(int ls_total, int ls_met, double be_norm_sum);
 
-  double max_cap_sum_ratio() const { return max_cap_sum_ratio_; }
-
   /// Assemble the ClusterResult: per-node results, fleet QoS/throughput
   /// roll-ups, recovery accounting, fleet.* counter roll-up, final
-  /// gauges and flushes. Exactly the epilogue ClusterSim::run used to
-  /// inline, so both engines produce identical results from identical
-  /// node states.
+  /// gauges and flushes.
   ClusterResult finalize(
       int epochs, const std::string& coordinator_name,
       const std::vector<std::unique_ptr<ClusterNode>>& nodes,

@@ -1,20 +1,21 @@
-// End-to-end ClusterSim tests on fake-model policies (no training), plus
-// the determinism contract the cluster layer promises: one cluster seed
-// fixes every node's streams, so results are bit-identical across
-// lockstep thread counts.
-#include "cluster/cluster.h"
-
+// End-to-end cluster runs on fake-model policies (no training), driven
+// through the fleet engine with quiescence and churn off: every node
+// steps every epoch under the coordinator's caps. Thread-count
+// determinism and the one-shot run() contract are pinned in
+// tests/fleet/ (FleetEngine, FleetChurn, FleetSim suites).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../core/fake_models.h"
 #include "cluster/export.h"
 #include "core/controller.h"
+#include "fleet/fleet.h"
 #include "workloads/app_profile.h"
 
 namespace sturgeon::cluster {
@@ -45,25 +46,29 @@ std::vector<NodeSpec> fake_fleet(int n, int duration_s) {
   return specs;
 }
 
-TEST(ClusterSim, RejectsBadConstruction) {
-  EXPECT_THROW(ClusterSim(std::vector<NodeSpec>{}), std::invalid_argument);
-  ClusterConfig config;
-  config.oversubscription = 0.0;
-  EXPECT_THROW(ClusterSim(fake_fleet(1, 5), config), std::invalid_argument);
-  config.oversubscription = 1.5;
-  EXPECT_THROW(ClusterSim(fake_fleet(1, 5), config), std::invalid_argument);
+fleet::FleetConfig fleet_config(const ClusterConfig& config) {
+  fleet::FleetConfig fc;
+  fc.cluster = config;
+  return fc;
 }
 
-TEST(ClusterSim, RunIsOneShot) {
+/// One lockstep cluster run (0 epochs = longest trace).
+ClusterResult run_cluster(std::vector<NodeSpec> specs,
+                          const ClusterConfig& config, int epochs = 0) {
+  fleet::FleetSim sim(std::move(specs), fleet_config(config));
+  return sim.run(epochs).cluster;
+}
+
+TEST(ClusterSim, RejectsBadConstruction) {
+  EXPECT_THROW(fleet::FleetSim(std::vector<NodeSpec>{}),
+               std::invalid_argument);
   ClusterConfig config;
-  config.seed = 3;
-  ClusterSim sim(fake_fleet(1, 5), config);
-  EXPECT_FALSE(sim.has_run());
-  (void)sim.run();
-  EXPECT_TRUE(sim.has_run());
-  EXPECT_THROW(sim.run(), std::logic_error);
-  // A failed re-run attempt leaves the guard set.
-  EXPECT_TRUE(sim.has_run());
+  config.oversubscription = 0.0;
+  EXPECT_THROW(fleet::FleetSim(fake_fleet(1, 5), fleet_config(config)),
+               std::invalid_argument);
+  config.oversubscription = 1.5;
+  EXPECT_THROW(fleet::FleetSim(fake_fleet(1, 5), fleet_config(config)),
+               std::invalid_argument);
 }
 
 // Resilience machinery compiled in but left at defaults must not perturb
@@ -71,15 +76,13 @@ TEST(ClusterSim, RunIsOneShot) {
 TEST(ClusterSim, DefaultResilienceIsBitCompatible) {
   ClusterConfig plain;
   plain.seed = 17;
-  ClusterSim a(fake_fleet(3, 10), plain);
-  const ClusterResult ra = a.run();
+  const ClusterResult ra = run_cluster(fake_fleet(3, 10), plain);
 
   ClusterConfig spelled_out;
   spelled_out.seed = 17;
   spelled_out.resilience = ResilienceConfig{};
   spelled_out.faults = fault::FaultConfig{};
-  ClusterSim b(fake_fleet(3, 10), spelled_out);
-  const ClusterResult rb = b.run();
+  const ClusterResult rb = run_cluster(fake_fleet(3, 10), spelled_out);
 
   EXPECT_EQ(ra.fleet_qos_guarantee_rate, rb.fleet_qos_guarantee_rate);
   EXPECT_EQ(ra.aggregate_be_throughput, rb.aggregate_be_throughput);
@@ -97,49 +100,11 @@ TEST(ClusterSim, DefaultResilienceIsBitCompatible) {
   EXPECT_LE(ra.max_cap_sum_ratio, 1.0 + 1e-9);
 }
 
-// The satellite contract: same cluster seed => bit-identical
-// ClusterResult regardless of how many lockstep workers advance the
-// fleet. Nodes share no mutable state and both the coordinator split and
-// the aggregation are sequential in node order, so the schedule cannot
-// leak into the numbers.
-TEST(ClusterSim, DeterministicAcrossThreadCounts) {
-  const int kNodes = 3, kEpochs = 20;
-  auto run_with = [&](std::size_t threads) {
-    ClusterConfig config;
-    config.seed = 5;
-    config.threads = threads;
-    ClusterSim sim(fake_fleet(kNodes, kEpochs), config);
-    return sim.run();
-  };
-  const ClusterResult a = run_with(1);
-  const ClusterResult b = run_with(4);
-
-  EXPECT_EQ(a.fleet_qos_guarantee_rate, b.fleet_qos_guarantee_rate);
-  EXPECT_EQ(a.aggregate_be_throughput, b.aggregate_be_throughput);
-  EXPECT_EQ(a.mean_cluster_power_w, b.mean_cluster_power_w);
-  EXPECT_EQ(a.max_cluster_power_ratio, b.max_cluster_power_ratio);
-  EXPECT_EQ(a.cluster_overshoot_fraction, b.cluster_overshoot_fraction);
-  ASSERT_EQ(a.node_results.size(), b.node_results.size());
-  for (std::size_t i = 0; i < a.node_results.size(); ++i) {
-    const NodeResult& x = a.node_results[i];
-    const NodeResult& y = b.node_results[i];
-    EXPECT_EQ(x.total_completed, y.total_completed) << "node " << i;
-    EXPECT_EQ(x.total_violations, y.total_violations) << "node " << i;
-    EXPECT_EQ(x.qos_guarantee_rate, y.qos_guarantee_rate) << "node " << i;
-    EXPECT_EQ(x.mean_be_throughput_norm, y.mean_be_throughput_norm)
-        << "node " << i;
-    EXPECT_EQ(x.mean_cap_w, y.mean_cap_w) << "node " << i;
-    EXPECT_EQ(x.max_power_ratio, y.max_power_ratio) << "node " << i;
-    EXPECT_EQ(x.throttled_epochs, y.throttled_epochs) << "node " << i;
-  }
-}
-
 TEST(ClusterSim, DifferentSeedsProduceDifferentRuns) {
   auto run_with = [&](std::uint64_t seed) {
     ClusterConfig config;
     config.seed = seed;
-    ClusterSim sim(fake_fleet(2, 20), config);
-    return sim.run();
+    return run_cluster(fake_fleet(2, 20), config);
   };
   const ClusterResult a = run_with(1);
   const ClusterResult b = run_with(2);
@@ -155,8 +120,7 @@ TEST(ClusterSim, MismatchedTraceLengthsClampAndRunFullLockstep) {
   specs.push_back(fake_spec(LoadTrace::constant(0.5, 30)));
   ClusterConfig config;
   config.seed = 7;
-  ClusterSim sim(std::move(specs), config);
-  const ClusterResult result = sim.run();
+  const ClusterResult result = run_cluster(std::move(specs), config);
   EXPECT_EQ(result.epochs, 30);
   for (const auto& nr : result.node_results) {
     EXPECT_EQ(nr.epochs, 30) << "node " << nr.node;
@@ -167,8 +131,7 @@ TEST(ClusterSim, MismatchedTraceLengthsClampAndRunFullLockstep) {
 TEST(ClusterSim, ExplicitEpochCountOverridesTraces) {
   ClusterConfig config;
   config.seed = 7;
-  ClusterSim sim(fake_fleet(1, 50), config);
-  const ClusterResult result = sim.run(8);
+  const ClusterResult result = run_cluster(fake_fleet(1, 50), config, 8);
   EXPECT_EQ(result.epochs, 8);
   EXPECT_EQ(result.node_results[0].epochs, 8);
 }
@@ -192,7 +155,7 @@ TEST(ClusterSim, GovernorEnforcesTightCapOnStaticPolicy) {
   // cluster budget at 40% of the dynamic range above idle.
   ClusterConfig probe_config;
   probe_config.seed = 11;
-  ClusterSim probe(static_specs(), probe_config);
+  fleet::FleetSim probe(static_specs(), fleet_config(probe_config));
   const double natural = probe.node(0).budget_w();
   const double idle = probe.node(0).idle_w();
   ASSERT_GT(natural, idle);
@@ -201,13 +164,12 @@ TEST(ClusterSim, GovernorEnforcesTightCapOnStaticPolicy) {
   ClusterConfig governed;
   governed.seed = 11;
   governed.power_budget_w = tight;
-  ClusterSim governed_sim(static_specs(), governed);
-  const ClusterResult with_governor = governed_sim.run();
+  const ClusterResult with_governor = run_cluster(static_specs(), governed);
 
   ClusterConfig ungoverned = governed;
   ungoverned.governor.enabled = false;
-  ClusterSim ungoverned_sim(static_specs(), ungoverned);
-  const ClusterResult without_governor = ungoverned_sim.run();
+  const ClusterResult without_governor =
+      run_cluster(static_specs(), ungoverned);
 
   // The static partition wants far more than the cap: the governor must
   // have throttled, and the ungoverned run must overshoot more.
@@ -222,8 +184,7 @@ TEST(ClusterSim, FleetCountersRollUpIntoClusterRegistry) {
   const int kNodes = 2, kEpochs = 12;
   ClusterConfig config;
   config.seed = 13;
-  ClusterSim sim(fake_fleet(kNodes, kEpochs), config);
-  const ClusterResult result = sim.run();
+  const ClusterResult result = run_cluster(fake_fleet(kNodes, kEpochs), config);
   ASSERT_NE(result.telemetry, nullptr);
 
   const auto snap = result.telemetry->metrics().snapshot();
@@ -245,8 +206,7 @@ TEST(ClusterSim, JsonlRollupHasOneLinePerNodePlusCluster) {
   const int kNodes = 2;
   ClusterConfig config;
   config.seed = 17;
-  ClusterSim sim(fake_fleet(kNodes, 10), config);
-  const ClusterResult result = sim.run();
+  const ClusterResult result = run_cluster(fake_fleet(kNodes, 10), config);
 
   std::ostringstream os;
   write_cluster_jsonl(result, os);
@@ -275,9 +235,9 @@ TEST(ClusterSim, SumOfCapsNeverExceedsBudgetDuringRun) {
   ClusterConfig config;
   config.seed = 19;
   config.coordinator = CoordinatorKind::kSlackHarvest;
-  ClusterSim sim(fake_fleet(3, 25), config);
+  fleet::FleetSim sim(fake_fleet(3, 25), fleet_config(config));
   const double budget = sim.cluster_budget_w();
-  const ClusterResult result = sim.run();
+  const ClusterResult result = sim.run().cluster;
   double mean_cap_sum = 0.0;
   for (const auto& nr : result.node_results) mean_cap_sum += nr.mean_cap_w;
   EXPECT_LE(mean_cap_sum, budget + 1e-6);

@@ -2,8 +2,8 @@
 // nodes talk ONLY through the MessageChannel.
 //
 //  - Zero-fault channel: bit-identical to the direct-call paths, for
-//    every coordinator strategy, in both engines (lockstep ClusterSim
-//    and the event-driven FleetSim).
+//    every coordinator strategy, with quiescence off (lockstep) and on
+//    (event-driven skipping).
 //  - Chaos-net: 20% drop + reorder + a 50-epoch full coordinator
 //    partition. The run must complete (the per-epoch STURGEON_CHECK on
 //    the TRUE cap sum is live the whole time), keep fleet QoS within 5
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "../core/fake_models.h"
-#include "cluster/cluster.h"
 #include "core/controller.h"
 #include "fleet/fleet.h"
 #include "workloads/app_profile.h"
@@ -74,8 +73,10 @@ ClusterResult run_cluster(CoordinatorKind kind, const comms::CommsConfig& comms,
   config.threads = threads;
   config.coordinator = kind;
   config.comms = comms;
-  ClusterSim sim(fake_fleet(nodes, epochs), config);
-  return sim.run();
+  fleet::FleetConfig fc;
+  fc.cluster = config;
+  fleet::FleetSim sim(fake_fleet(nodes, epochs), fc);
+  return sim.run().cluster;
 }
 
 void expect_behavior_identical(const ClusterResult& a, const ClusterResult& b) {

@@ -9,12 +9,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "../core/fake_models.h"
-#include "cluster/cluster.h"
 #include "core/controller.h"
 #include "fault/injector.h"
+#include "fleet/fleet.h"
 #include "workloads/app_profile.h"
 
 namespace sturgeon::cluster {
@@ -68,6 +69,14 @@ fault::FaultConfig standard_chaos() {
   return f;
 }
 
+/// One lockstep run on the fleet engine (quiescence and churn off).
+ClusterResult run(std::vector<NodeSpec> specs, const ClusterConfig& config) {
+  fleet::FleetConfig fc;
+  fc.cluster = config;
+  fleet::FleetSim sim(std::move(specs), fc);
+  return sim.run().cluster;
+}
+
 ClusterResult run_fleet(int nodes, int epochs, std::uint64_t seed,
                         std::size_t threads, bool faults) {
   ClusterConfig config;
@@ -75,8 +84,7 @@ ClusterResult run_fleet(int nodes, int epochs, std::uint64_t seed,
   config.threads = threads;
   config.resilience = defenses();
   if (faults) config.faults = standard_chaos();
-  ClusterSim sim(fake_fleet(nodes, epochs), config);
-  return sim.run();
+  return run(fake_fleet(nodes, epochs), config);
 }
 
 TEST(Chaos, StandardScheduleKeepsFleetGuarantees) {
@@ -150,8 +158,7 @@ TEST(Chaos, CrashAndRecoverUnderParallelStepping) {
   config.faults.node.victim = 2;
   config.faults.node.crash_epoch = 5;
   config.faults.node.crash_epochs = 5;
-  ClusterSim sim(fake_fleet(6, 25), config);
-  const ClusterResult result = sim.run();
+  const ClusterResult result = run(fake_fleet(6, 25), config);
 
   EXPECT_EQ(result.node_results[2].epochs_down, 5);
   EXPECT_GT(result.dead_node_epochs, 0);
@@ -170,8 +177,7 @@ TEST(Chaos, HungNodeIsDeclaredDeadAndRejoins) {
   config.faults.node.victim = 0;
   config.faults.node.hang_epoch = 8;
   config.faults.node.hang_epochs = 6;
-  ClusterSim sim(fake_fleet(3, 30), config);
-  const ClusterResult result = sim.run();
+  const ClusterResult result = run(fake_fleet(3, 30), config);
 
   const NodeResult& victim = result.node_results[0];
   EXPECT_EQ(victim.epochs_hung, 6);
@@ -196,13 +202,11 @@ TEST(Chaos, SensorChaosAloneStaysClose) {
   config.faults.sensor.dropout_p = 0.10;
   config.faults.sensor.spike_p = 0.05;
   config.faults.sensor.spike_factor = 8.0;
-  ClusterSim noisy(fake_fleet(3, 40), config);
-  const ClusterResult faulted = noisy.run();
+  const ClusterResult faulted = run(fake_fleet(3, 40), config);
 
   ClusterConfig clean_config = config;
   clean_config.faults = {};
-  ClusterSim clean(fake_fleet(3, 40), clean_config);
-  const ClusterResult baseline = clean.run();
+  const ClusterResult baseline = run(fake_fleet(3, 40), clean_config);
 
   std::uint64_t rejected = 0;
   for (const auto& nr : faulted.node_results) rejected += nr.sensor_rejected;

@@ -11,11 +11,11 @@
 #include <vector>
 
 #include "../core/fake_models.h"
-#include "cluster/cluster.h"
 #include "core/balancer.h"
 #include "core/config_search.h"
 #include "core/controller.h"
 #include "exp/runner.h"
+#include "fleet/fleet.h"
 #include "workloads/app_profile.h"
 
 namespace sturgeon::core {
@@ -307,12 +307,12 @@ TEST(KwayTwin, ClusterRouteViaAllocationIsBitIdentical) {
     return specs;
   };
   const auto run_once = [&](bool via_allocation, std::size_t threads = 0) {
-    cluster::ClusterConfig config;
-    config.seed = 23;
-    config.route_via_allocation = via_allocation;
-    config.threads = threads;
-    cluster::ClusterSim sim(make_fleet(), config);
-    return sim.run();
+    fleet::FleetConfig config;
+    config.cluster.seed = 23;
+    config.cluster.route_via_allocation = via_allocation;
+    config.cluster.threads = threads;
+    fleet::FleetSim sim(make_fleet(), config);
+    return sim.run().cluster;
   };
   const auto pair = run_once(false);
   const auto kway = run_once(true);
