@@ -14,14 +14,18 @@
 //   1. the two runs are bit-identical on every behavioral output (QoS,
 //      throughput, power, skipping, churn) -- the reliable channel is a
 //      refactor, not a behavior change;
-//   2. the comms run's throughput stays within 2% of direct (best of
-//      two timed runs each, so a single scheduler hiccup on a shared
-//      runner does not fail the gate).
+//   2. the comms run's throughput stays within 2% of direct. Each path
+//      is timed over several repetitions, alternating direct and comms
+//      so host drift hits both alike, and compared by its fastest
+//      repetition (min-of-N: noise only ever adds time). Nodes step on
+//      one worker thread and each run is timed in process CPU time, so
+//      pool scheduling and preemption stay out of the figure.
 //
-// Exits non-zero if a gate fails. STURGEON_QUICK=1 shrinks the run.
+// Exits non-zero if a gate fails. STURGEON_QUICK=1 runs fewer
+// repetitions.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -75,6 +79,7 @@ std::vector<cluster::NodeSpec> phased_fleet(int n, int epochs) {
 fleet::FleetConfig fleet_config(bool comms) {
   fleet::FleetConfig config;
   config.cluster.seed = 11;
+  config.cluster.threads = 1;
   config.cluster.coordinator = cluster::CoordinatorKind::kSlackHarvest;
   config.cluster.governor.relax_margin = 0.90;
   config.quiescence.enabled = true;
@@ -91,18 +96,19 @@ fleet::FleetConfig fleet_config(bool comms) {
   return config;
 }
 
-fleet::FleetResult best_of_two(int nodes, int epochs, bool comms,
-                               double* best_wall_s) {
-  *best_wall_s = 1e30;
-  fleet::FleetResult result;
-  for (int rep = 0; rep < 2; ++rep) {
-    fleet::FleetSim sim(phased_fleet(nodes, epochs), fleet_config(comms));
-    const auto t1 = std::chrono::steady_clock::now();
-    result = sim.run();
-    const auto t2 = std::chrono::steady_clock::now();
-    *best_wall_s =
-        std::min(*best_wall_s, std::chrono::duration<double>(t2 - t1).count());
-  }
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// One timed run; keeps the least CPU time seen in `*best_cpu_s`.
+fleet::FleetResult timed_run(int nodes, int epochs, bool comms,
+                             double* best_cpu_s) {
+  fleet::FleetSim sim(phased_fleet(nodes, epochs), fleet_config(comms));
+  const double c0 = process_cpu_s();
+  fleet::FleetResult result = sim.run();
+  *best_cpu_s = std::min(*best_cpu_s, process_cpu_s() - c0);
   return result;
 }
 
@@ -111,25 +117,28 @@ fleet::FleetResult best_of_two(int nodes, int epochs, bool comms,
 int main() {
   const bool quick = bench::quick_mode();
   const int nodes = 64;
-  const int epochs = quick ? 60 : 120;
+  const int epochs = 120;
+  const int reps = quick ? 7 : 15;
 
   std::cout << "== overhead_comms: zero-fault channel cost at " << nodes
-            << " nodes ==\n";
-  double direct_wall = 0.0, comms_wall = 0.0;
-  const auto direct = best_of_two(nodes, epochs, /*comms=*/false,
-                                  &direct_wall);
-  const auto comms = best_of_two(nodes, epochs, /*comms=*/true, &comms_wall);
+            << " nodes, min of " << reps << " alternating runs ==\n";
+  double direct_cpu = 1e30, comms_cpu = 1e30;
+  fleet::FleetResult direct, comms;
+  for (int rep = 0; rep < reps; ++rep) {
+    direct = timed_run(nodes, epochs, /*comms=*/false, &direct_cpu);
+    comms = timed_run(nodes, epochs, /*comms=*/true, &comms_cpu);
+  }
   const double direct_eps = static_cast<double>(direct.cluster.epochs) /
-                            direct_wall;
+                            direct_cpu;
   const double comms_eps = static_cast<double>(comms.cluster.epochs) /
-                           comms_wall;
+                           comms_cpu;
 
-  TablePrinter table({"path", "epochs", "wall s", "epochs/s"});
+  TablePrinter table({"path", "epochs", "cpu s", "epochs/s"});
   table.add_row({"direct (shared memory)", std::to_string(direct.cluster.epochs),
-                 TablePrinter::fmt(direct_wall, 3),
+                 TablePrinter::fmt(direct_cpu, 3),
                  TablePrinter::fmt(direct_eps, 1)});
   table.add_row({"zero-fault channel", std::to_string(comms.cluster.epochs),
-                 TablePrinter::fmt(comms_wall, 3),
+                 TablePrinter::fmt(comms_cpu, 3),
                  TablePrinter::fmt(comms_eps, 1)});
   table.print(std::cout);
 
